@@ -1,7 +1,14 @@
-"""Legacy setup shim (the offline environment lacks the `wheel` package,
-so PEP-517 editable installs are unavailable; metadata lives in
-pyproject.toml)."""
+"""Packaging metadata for the ``repro`` package (sources under ``src/``).
 
-from setuptools import setup
+Kept as a plain ``setup.py``: the offline environment lacks the
+``wheel`` package, so PEP-517 editable installs are unavailable.
+"""
 
-setup()
+from setuptools import find_packages, setup
+
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -27,7 +27,6 @@ import json
 import os
 import sys
 
-from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import ExperimentConfig
 
 
@@ -211,6 +210,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cmd_list() -> int:
+    import inspect
+
+    from repro.api.experiment import available_experiments, experiment_entry
+
+    for name in available_experiments():
+        entry = experiment_entry(name)
+        doc = inspect.getmodule(entry.plan).__doc__ or entry.description
+        summary = doc.strip().split("\n")[0]
+        print(f"{name:18s} {summary}")
+    return 0
+
+
 def _cmd_designs() -> int:
     from repro.api import available_designs, design_entry
 
@@ -343,37 +355,35 @@ def _split_tags(blob) -> tuple:
     return tuple(t.strip() for t in blob.split(",") if t.strip())
 
 
-def _cmd_run_one(args) -> int:
+def _print_outcome(outcome) -> None:
+    if outcome.ok:
+        print(outcome.rendered or "(no rendering)", flush=True)
+        return
+    print(f"{outcome.name} FAILED: {outcome.error}", file=sys.stderr)
+    if outcome.traceback:
+        print(outcome.traceback, end="", file=sys.stderr)
+
+
+def _cmd_run(args) -> int:
+    """Run one experiment, or every registered one for ``all``."""
     from repro.api.campaign import Campaign
 
     campaign = Campaign(
-        experiments=[args.experiment],
+        experiments=None if args.experiment == "all" else [args.experiment],
         cfg=_quick_cfg(args.quick),
         jobs=args.jobs,
         out_dir=args.out,
         only_tags=_split_tags(args.only),
         skip_tags=_split_tags(args.skip),
     )
-    result = campaign.run()
+    if not campaign.selected:
+        print(
+            f"{args.experiment}: excluded by --only/--skip tag filters",
+            file=sys.stderr,
+        )
+    result = campaign.run(on_result=None if args.json else _print_outcome)
     if args.json:
         print(json.dumps(result.to_json_obj(), indent=2))
-    else:
-        if not result.outcomes:
-            print(
-                f"{args.experiment}: excluded by --only/--skip "
-                "tag filters",
-                file=sys.stderr,
-            )
-        for outcome in result.outcomes.values():
-            if outcome.ok:
-                print(outcome.rendered or "(no rendering)")
-            else:
-                print(
-                    f"{outcome.name} FAILED: {outcome.error}",
-                    file=sys.stderr,
-                )
-                if outcome.traceback:
-                    print(outcome.traceback, end="", file=sys.stderr)
     return result.n_failures
 
 
@@ -522,10 +532,7 @@ def _cmd_status(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
-        for name, module in ALL_EXPERIMENTS.items():
-            doc = (module.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:18s} {doc}")
-        return 0
+        return _cmd_list()
     if args.command == "designs":
         return _cmd_designs()
     if args.command == "backends":
@@ -543,38 +550,23 @@ def main(argv=None) -> int:
     if args.command == "status":
         return _cmd_status(args)
     if args.command == "calibrate":
-        from repro.experiments import calibration
+        from repro.api.experiment import run_experiment
 
-        print(calibration.render(calibration.run()))
+        print(run_experiment("calibration", _quick_cfg(False)).rendered)
         return 0
     # run
-    if args.experiment == "all":
-        from repro.experiments import run_all
-
-        forwarded = []
-        if args.quick:
-            forwarded.append("--quick")
-        if args.jobs != 1:
-            forwarded.extend(["--jobs", str(args.jobs)])
-        if args.json:
-            forwarded.append("--json")
-        if args.out:
-            forwarded.extend(["--out", args.out])
-        if args.only:
-            forwarded.extend(["--only", args.only])
-        if args.skip:
-            forwarded.extend(["--skip", args.skip])
-        return run_all.main(forwarded)
     from repro.api.experiment import available_experiments
 
-    if args.experiment not in available_experiments():
+    if args.experiment != "all" and (
+        args.experiment not in available_experiments()
+    ):
         print(
             f"unknown experiment {args.experiment!r}; try: "
             + ", ".join(available_experiments()),
             file=sys.stderr,
         )
         return 2
-    return _cmd_run_one(args)
+    return _cmd_run(args)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Experiments (one per paper figure/table, plus extensions) register the
 same way design points do (:mod:`repro.api.registry`): declaratively,
-with metadata, instead of being hard-coded names in ``run_all.py``::
+with metadata, instead of being hard-coded names in the CLI::
 
     @register_experiment(
         "fig14", figure="Figure 14", tags=("paper", "sampling"),
@@ -14,13 +14,17 @@ with metadata, instead of being hard-coded names in ``run_all.py``::
 
 The registered protocol has four pieces:
 
-* ``plan(cfg) -> list of units`` -- each unit is a zero-argument
+* ``plan(cfg, **axes) -> list of units`` -- each unit is a zero-argument
   callable **or** a :class:`~repro.api.spec.RunSpec` (executed through a
   :class:`~repro.api.session.Session`).  Units are independent, so a
   campaign executor may run them on any worker thread in any order.
-* ``collect(cfg, outputs) -> result`` -- merge the unit outputs (in plan
-  order) into the experiment's result dict.  Optional; defaults to the
-  single output (one unit) or the output list.
+  The plan's defaulted keyword parameters are the experiment's axes
+  (``datasets``, ``n_batches``, ...); :func:`run_experiment` accepts
+  overrides for exactly those.
+* ``collect(cfg, outputs, **axes) -> result`` -- merge the unit outputs
+  (in plan order) into the experiment's result dict; it receives the
+  axes it declares.  Optional; defaults to the single output (one
+  unit) or the output list.
 * ``records(result) -> list[RunRecord]`` -- flatten the result into
   serializable :class:`RunRecord` rows, the machine-readable artifact
   replacing per-module result objects.  Optional; defaults to
@@ -34,6 +38,7 @@ complete.
 
 from __future__ import annotations
 
+import inspect
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -182,6 +187,15 @@ def standard_records(
 # -- registry --------------------------------------------------------------
 
 
+def _axes(fn: Callable) -> Tuple[str, ...]:
+    """Names of ``fn``'s defaulted parameters: an experiment's axes."""
+    return tuple(
+        name
+        for name, param in inspect.signature(fn).parameters.items()
+        if param.default is not inspect.Parameter.empty
+    )
+
+
 @dataclass(frozen=True)
 class ExperimentEntry:
     """One registered experiment."""
@@ -195,10 +209,21 @@ class ExperimentEntry:
     tags: Tuple[str, ...] = ()
     description: str = ""
 
-    def collect_outputs(self, cfg: Any, outputs: Sequence[Any]) -> Any:
-        """Merge unit outputs (plan order) into the result."""
+    def collect_outputs(
+        self, cfg: Any, outputs: Sequence[Any], **params: Any
+    ) -> Any:
+        """Merge unit outputs (plan order) into the result.
+
+        ``params`` are the axis overrides the plan ran with; ``collect``
+        receives the ones it declares as keyword parameters.
+        """
         if self.collect is not None:
-            return self.collect(cfg, list(outputs))
+            wanted = _axes(self.collect)
+            return self.collect(
+                cfg,
+                list(outputs),
+                **{k: v for k, v in params.items() if k in wanted},
+            )
         if len(outputs) == 1:
             return outputs[0]
         return list(outputs)
@@ -219,30 +244,6 @@ class ExperimentEntry:
 
     def render_result(self, result: Any) -> Optional[str]:
         return self.render(result) if self.render is not None else None
-
-    @classmethod
-    def from_module(cls, name: str, module: Any) -> "ExperimentEntry":
-        """Adapt a legacy ``run(cfg)``/``render(result)`` module.
-
-        The whole ``run`` becomes a single planned unit; ``records``
-        falls back to the standard flattening.  This keeps ad-hoc
-        modules (and tests that monkeypatch them in) runnable through a
-        campaign without registration.
-        """
-        run = getattr(module, "run", None)
-        if not callable(run):
-            raise ConfigError(
-                f"experiment {name!r} ({module!r}) has no callable run()"
-            )
-        render = getattr(module, "render", None)
-        return cls(
-            name=name,
-            plan=lambda cfg: [lambda: run(cfg)],
-            render=render if callable(render) else None,
-            description=(getattr(module, "__doc__", "") or "")
-            .strip()
-            .split("\n")[0],
-        )
 
 
 _REGISTRY: Dict[str, ExperimentEntry] = {}
@@ -284,15 +285,6 @@ def register_experiment(
     def decorator(fn: Callable) -> Callable:
         existing = _REGISTRY.get(name)
         if existing is not None and not replace:
-            # ``python -m repro.experiments.<module>`` executes the
-            # module body twice (as __main__ and via the package
-            # import); keep the canonical registration and ignore the
-            # duplicate from the script copy
-            if (
-                fn.__module__ == "__main__"
-                and existing.plan.__module__ != "__main__"
-            ):
-                return fn
             raise ConfigError(
                 f"experiment {name!r} is already registered "
                 f"(by {existing.plan!r}); "
@@ -378,20 +370,34 @@ def run_experiment(
     cfg: Any = None,
     *,
     render: bool = True,
+    **params: Any,
 ) -> ExperimentResult:
-    """Plan, execute (serially), collect, and record one experiment."""
+    """Plan, execute (serially), collect, and record one experiment.
+
+    ``params`` override the keyword axes the experiment's ``plan``
+    declares (``datasets``, ``n_batches``, ``worker_counts``, ...) and
+    reach ``collect`` where it declares them too; any other name raises
+    :class:`ConfigError`.
+    """
     entry = (
         name_or_entry
         if isinstance(name_or_entry, ExperimentEntry)
         else experiment_entry(name_or_entry)
     )
+    axes = _axes(entry.plan)
+    unknown = sorted(set(params) - set(axes))
+    if unknown:
+        raise ConfigError(
+            f"experiment {entry.name!r} has no parameter "
+            f"{', '.join(map(repr, unknown))}; its axes are {axes}"
+        )
     if cfg is None:
         from repro.experiments.common import ExperimentConfig
 
         cfg = ExperimentConfig()
     start = time.time()
-    outputs = [execute_unit(u) for u in entry.plan(cfg)]
-    result = entry.collect_outputs(cfg, outputs)
+    outputs = [execute_unit(u) for u in entry.plan(cfg, **params)]
+    result = entry.collect_outputs(cfg, outputs, **params)
     records = entry.extract_records(result)
     rendered = entry.render_result(result) if render else None
     return ExperimentResult(

@@ -2,8 +2,8 @@
 
 Every latency, bandwidth, and capacity constant used anywhere in the
 simulator lives here, grouped per device, so that all experiments draw from
-one mechanistic parameter set (see DESIGN.md "Calibration").  The defaults
-model the paper's testbed:
+one mechanistic parameter set (``python -m repro calibrate`` checks the
+headline ratios it produces).  The defaults model the paper's testbed:
 
 * host: Intel Xeon Gold 6242 + 192 GB DDR4 (125 GB/s peak per the paper)
 * GPU: NVIDIA Tesla T4 over PCIe gen3 x16

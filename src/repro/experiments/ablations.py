@@ -1,4 +1,4 @@
-"""Ablations of SmartSAGE's individual design choices (DESIGN.md).
+"""Ablations of SmartSAGE's individual design choices.
 
 The paper motivates three co-designed mechanisms (Section VI-A: "1)
 direct I/O, 2) I/O command coalescing, and 3) ISP acceleration") plus
@@ -11,7 +11,6 @@ attributable.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.core.sampling_engines import DirectIOSamplingEngine
@@ -25,7 +24,7 @@ from repro.experiments.common import (
 from repro.experiments.report import format_table
 from repro.storage.pagebuffer import PageBuffer
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
 
 
 def _run_ladder(dataset_name: str, cfg: ExperimentConfig) -> dict:
@@ -84,14 +83,6 @@ def _run_ladder(dataset_name: str, cfg: ExperimentConfig) -> dict:
     }
 
 
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    dataset_name: str = "reddit",
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _run_ladder(dataset_name, cfg)
-
-
 def render(result: dict) -> str:
     rows = [
         [name, f"{ms:.2f}", f"{result['speedups'][name]:.2f}x"]
@@ -142,14 +133,6 @@ def _records(result: dict) -> list:
     records=_records,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(cfg: ExperimentConfig, dataset_name: str = "reddit") -> list:
     """A single unit running the full ablation ladder (shared state)."""
-    return [partial(_run_ladder, "reddit", cfg)]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return [partial(_run_ladder, dataset_name, cfg)]

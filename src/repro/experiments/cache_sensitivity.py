@@ -11,7 +11,7 @@ leave the mmap baseline far behind latency-optimized SmartSAGE(SW).
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.core.systems import build_system
@@ -23,7 +23,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main", "CACHE_FRACS"]
+__all__ = ["render", "CACHE_FRACS"]
 
 CACHE_FRACS = (0.05, 0.15, 0.30, 0.60)
 
@@ -31,7 +31,7 @@ CACHE_FRACS = (0.05, 0.15, 0.30, 0.60)
 def _run_sweep(
     dataset_name: str,
     cfg: ExperimentConfig,
-    cache_fracs: Sequence[float] = CACHE_FRACS,
+    cache_fracs: Sequence[float],
 ) -> dict:
     ds = scaled_instance(dataset_name, cfg)
     workloads = make_workloads(ds, cfg)
@@ -61,15 +61,6 @@ def _run_sweep(
         "sw_ms": sw_ms,
         "cache_fracs": tuple(cache_fracs),
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    dataset_name: str = "reddit",
-    cache_fracs: Sequence[float] = CACHE_FRACS,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _run_sweep(dataset_name, cfg, cache_fracs)
 
 
 def render(result: dict) -> str:
@@ -137,14 +128,10 @@ def _records(result: dict) -> list:
     records=_records,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig,
+    dataset_name: str = "reddit",
+    cache_fracs: Sequence[float] = CACHE_FRACS,
+) -> list:
     """A single unit sweeping the page-cache budget."""
-    return [partial(_run_sweep, "reddit", cfg)]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return [partial(_run_sweep, dataset_name, cfg, cache_fracs)]

@@ -8,35 +8,27 @@ change to :mod:`repro.config` -- all figures must hold simultaneously.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
-from repro.api.experiment import RunRecord, register_experiment
-from repro.experiments import (
-    fig14_single_worker,
-    fig16_multi_worker,
-    fig18_end_to_end,
+from repro.api.experiment import (
+    RunRecord,
+    register_experiment,
+    run_experiment,
 )
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
+
+_HEADLINES = ("fig14", "fig16", "fig18")
+
+
+def _headline(name: str, cfg: ExperimentConfig) -> dict:
+    return run_experiment(name, cfg, render=False).result
 
 
 def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     f14, f16, f18 = outputs
     return {"fig14": f14, "fig16": f16, "fig18": f18}
-
-
-def run(cfg: Optional[ExperimentConfig] = None) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            fig14_single_worker.run(cfg),
-            fig16_multi_worker.run(cfg),
-            fig18_end_to_end.run(cfg),
-        ],
-    )
 
 
 def render(result: dict) -> str:
@@ -113,16 +105,4 @@ def _records(result: dict) -> list:
 )
 def _plan(cfg: ExperimentConfig) -> list:
     """One unit per headline figure (14, 16, 18)."""
-    return [
-        partial(fig14_single_worker.run, cfg),
-        partial(fig16_multi_worker.run, cfg),
-        partial(fig18_end_to_end.run, cfg),
-    ]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return [partial(_headline, name, cfg) for name in _HEADLINES]

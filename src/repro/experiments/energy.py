@@ -9,7 +9,6 @@ hundreds of watts.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import register_experiment
 from repro.core.energy import energy_comparison
@@ -24,7 +23,7 @@ from repro.experiments.report import format_table
 from repro.pipeline import run_pipeline
 from repro.sim.stats import geometric_mean
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
 
 _DESIGNS = ("ssd-mmap", "smartsage-sw", "smartsage-hwsw",
             "smartsage-oracle", "dram")
@@ -33,8 +32,8 @@ _DESIGNS = ("ssd-mmap", "smartsage-sw", "smartsage-hwsw",
 def _run_dataset(
     name: str,
     cfg: ExperimentConfig,
-    n_batches: int = 24,
-    n_workers: int = 12,
+    n_batches: int,
+    n_workers: int,
 ) -> tuple:
     ds = scaled_instance(name, cfg)
     workloads = make_workloads(ds, cfg)
@@ -67,22 +66,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
         "avg_energy_saving": geometric_mean(savings),
         "avg_time_saving": geometric_mean(times),
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=("reddit", "amazon"),
-    n_batches: int = 24,
-    n_workers: int = 12,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_batches, n_workers)
-            for name in datasets
-        ],
-    )
 
 
 def render(result: dict) -> str:
@@ -122,17 +105,14 @@ def render(result: dict) -> str:
     collect=_collect,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig,
+    datasets=("reddit", "amazon"),
+    n_batches: int = 24,
+    n_workers: int = 12,
+) -> list:
     """One power/energy comparison per evaluated dataset."""
     return [
-        partial(_run_dataset, name, cfg)
-        for name in ("reddit", "amazon")
+        partial(_run_dataset, name, cfg, n_batches, n_workers)
+        for name in datasets
     ]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

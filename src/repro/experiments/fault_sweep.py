@@ -32,7 +32,7 @@ from repro.experiments.report import format_table
 from repro.faults import FaultPlan
 
 __all__ = [
-    "run", "render", "main", "DATASET", "FAULT_RATES", "SWEEP_MODES",
+    "render", "DATASET", "FAULT_RATES", "SWEEP_MODES",
     "plan_for_rate",
 ]
 
@@ -62,9 +62,7 @@ def plan_for_rate(rate: float, seed: int = 0) -> Optional[FaultPlan]:
     )
 
 
-def _unit_specs(
-    cfg: ExperimentConfig, rates: Sequence[float] = FAULT_RATES
-) -> list:
+def _unit_specs(cfg: ExperimentConfig, rates: Sequence[float]) -> list:
     specs = []
     for mode, design, extra in SWEEP_MODES:
         for rate in rates:
@@ -87,7 +85,11 @@ _FAULT_COUNTERS = (
 )
 
 
-def _collect_grid(outputs: list, rates: Sequence[float]) -> dict:
+def _collect(
+    cfg: ExperimentConfig,
+    outputs: list,
+    rates: Sequence[float] = FAULT_RATES,
+) -> dict:
     per_mode: dict = {}
     it = iter(outputs)
     for mode, design, _ in SWEEP_MODES:
@@ -119,23 +121,6 @@ def _collect_grid(outputs: list, rates: Sequence[float]) -> dict:
         "fault_rates": list(rates),
         "per_mode": per_mode,
     }
-
-
-def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
-    return _collect_grid(outputs, FAULT_RATES)
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    rates: Sequence[float] = FAULT_RATES,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    from repro.api.experiment import execute_unit
-
-    outputs = [
-        execute_unit(spec) for spec in _unit_specs(cfg, tuple(rates))
-    ]
-    return _collect_grid(outputs, tuple(rates))
 
 
 def render(result: dict) -> str:
@@ -194,14 +179,8 @@ def _records(result: dict) -> list:
     records=_records,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig, rates: Sequence[float] = FAULT_RATES
+) -> list:
     """One end-to-end run per (backend, fault rate) grid point."""
-    return _unit_specs(cfg)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return _unit_specs(cfg, rates)

@@ -6,13 +6,12 @@ fine-grained 8-byte reads make it latency bound, not throughput bound.
 
 We regenerate the measurement by feeding the sampler's actual byte-address
 trace through a set-associative LLC simulator, with the LLC scaled down in
-proportion to the scaled datasets (DESIGN.md "Calibration").
+proportion to the scaled datasets.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from repro.gnn.sampler import NeighborSampler, sampling_access_trace
 from repro.graph.datasets import IN_MEMORY
 from repro.memory.hierarchy import MemoryHierarchy
 
-__all__ = ["run", "render", "main", "PAPER_AVG_MISS", "PAPER_AVG_BW"]
+__all__ = ["render", "PAPER_AVG_MISS", "PAPER_AVG_BW"]
 
 PAPER_AVG_MISS = 0.62
 PAPER_AVG_BW = 0.21
@@ -40,8 +39,8 @@ _LLC_BYTES = 2 * 1024 * 1024
 def _run_dataset(
     name: str,
     cfg: ExperimentConfig,
-    n_batches: int = 3,
-    workers: int = 12,
+    n_batches: int,
+    workers: int,
 ) -> tuple:
     hw = scaled_hardware(llc_bytes=_LLC_BYTES)
     ds = scaled_instance(name, cfg, variant=IN_MEMORY)
@@ -80,22 +79,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     }
 
 
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    n_batches: int = 3,
-    workers: int = 12,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_batches, workers)
-            for name in datasets
-        ],
-    )
-
-
 def render(result: dict) -> str:
     rows = [
         [name, f"{v['llc_miss_rate']:.0%}", f"{v['dram_bw_utilization']:.0%}"]
@@ -124,14 +107,14 @@ def render(result: dict) -> str:
     collect=_collect,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig,
+    datasets=EVAL_DATASETS,
+    n_batches: int = 3,
+    workers: int = 12,
+) -> list:
     """One LLC/DRAM characterization unit per Table I dataset."""
-    return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return [
+        partial(_run_dataset, name, cfg, n_batches, workers)
+        for name in datasets
+    ]

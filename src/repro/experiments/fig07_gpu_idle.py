@@ -8,7 +8,6 @@ queue and the GPU sits idle for most of the training time.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.core.systems import build_gpu_model
@@ -21,7 +20,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main"]
+__all__ = ["render"]
 
 _DESIGNS = ("dram", "ssd-mmap")
 
@@ -29,8 +28,8 @@ _DESIGNS = ("dram", "ssd-mmap")
 def _run_dataset(
     name: str,
     cfg: ExperimentConfig,
-    n_batches: int = 30,
-    n_workers: int = 12,
+    n_batches: int,
+    n_workers: int,
 ) -> tuple:
     from repro.pipeline import run_pipeline
 
@@ -52,22 +51,6 @@ def _run_dataset(
 
 def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     return {"per_dataset": dict(outputs)}
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    n_batches: int = 30,
-    n_workers: int = 12,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_batches, n_workers)
-            for name in datasets
-        ],
-    )
 
 
 def render(result: dict) -> str:
@@ -104,14 +87,14 @@ def _records(result: dict) -> list:
     records=_records,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig,
+    datasets=EVAL_DATASETS,
+    n_batches: int = 30,
+    n_workers: int = 12,
+) -> list:
     """One GPU-idle measurement unit per Table I dataset."""
-    return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return [
+        partial(_run_dataset, name, cfg, n_batches, n_workers)
+        for name in datasets
+    ]

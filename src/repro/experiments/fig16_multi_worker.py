@@ -8,7 +8,6 @@ the single-worker 10.1x because the wimpy embedded cores saturate.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import register_experiment
 from repro.experiments.common import (
@@ -22,7 +21,7 @@ from repro.experiments.common import (
 from repro.experiments.report import format_bars, format_table
 from repro.sim.stats import geometric_mean
 
-__all__ = ["run", "render", "main", "PAPER"]
+__all__ = ["render", "PAPER"]
 
 PAPER = {"hwsw_avg": 4.4, "hwsw_max": 5.5, "sw_avg": 2.9}
 
@@ -30,8 +29,8 @@ PAPER = {"hwsw_avg": 4.4, "hwsw_max": 5.5, "sw_avg": 2.9}
 def _run_dataset(
     name: str,
     cfg: ExperimentConfig,
-    n_workers: int = 12,
-    n_batches: int = 36,
+    n_workers: int,
+    n_batches: int,
 ) -> tuple:
     ds = scaled_instance(name, cfg)
     workloads = make_workloads(ds, cfg)
@@ -62,23 +61,6 @@ def _collect(
         "n_workers": n_workers,
         "paper": PAPER,
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    n_workers: int = 12,
-    n_batches: int = 36,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_workers, n_batches)
-            for name in datasets
-        ],
-        n_workers=n_workers,
-    )
 
 
 def render(result: dict) -> str:
@@ -113,14 +95,14 @@ def render(result: dict) -> str:
     collect=_collect,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig,
+    datasets=EVAL_DATASETS,
+    n_workers: int = 12,
+    n_batches: int = 36,
+) -> list:
     """One 12-worker throughput unit per Table I dataset."""
-    return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return [
+        partial(_run_dataset, name, cfg, n_workers, n_batches)
+        for name in datasets
+    ]

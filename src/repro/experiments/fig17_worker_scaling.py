@@ -8,7 +8,7 @@ the base firmware and saturate, while the host path keeps scaling longer.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import (
@@ -19,7 +19,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table
 
-__all__ = ["run", "render", "main", "WORKER_COUNTS"]
+__all__ = ["render", "WORKER_COUNTS"]
 
 WORKER_COUNTS = (1, 2, 4, 8, 12)
 
@@ -27,7 +27,7 @@ WORKER_COUNTS = (1, 2, 4, 8, 12)
 def _run_dataset(
     name: str,
     cfg: ExperimentConfig,
-    worker_counts: Sequence[int] = WORKER_COUNTS,
+    worker_counts: Sequence[int],
 ) -> tuple:
     session = session_for(scaled_instance(name, cfg), cfg)
     speedups = {}
@@ -52,22 +52,6 @@ def _collect(
         "per_dataset": dict(outputs),
         "worker_counts": tuple(worker_counts),
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    worker_counts: Sequence[int] = WORKER_COUNTS,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, worker_counts)
-            for name in datasets
-        ],
-        worker_counts=worker_counts,
-    )
 
 
 def render(result: dict) -> str:
@@ -122,14 +106,13 @@ def _records(result: dict) -> list:
     records=_records,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig,
+    datasets=EVAL_DATASETS,
+    worker_counts: Sequence[int] = WORKER_COUNTS,
+) -> list:
     """One worker-scaling sweep unit per Table I dataset."""
-    return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return [
+        partial(_run_dataset, name, cfg, worker_counts)
+        for name in datasets
+    ]

@@ -10,7 +10,6 @@ reaches ~70% of DRAM and ~90% of PMEM performance.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import (
     RunRecord,
@@ -26,7 +25,7 @@ from repro.experiments.common import (
 from repro.experiments.report import format_stacked, format_table
 from repro.sim.stats import PhaseBreakdown, geometric_mean
 
-__all__ = ["run", "render", "main", "PAPER", "FIG18_DESIGNS"]
+__all__ = ["render", "PAPER", "FIG18_DESIGNS"]
 
 PAPER = {
     "hwsw_vs_mmap_avg": 3.5,
@@ -46,8 +45,8 @@ FIG18_DESIGNS = (
 def _run_dataset(
     name: str,
     cfg: ExperimentConfig,
-    n_batches: int = 30,
-    n_workers: int = 12,
+    n_batches: int,
+    n_workers: int,
 ) -> tuple:
     session = session_for(
         scaled_instance(name, cfg), cfg,
@@ -91,22 +90,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
         ),
         "paper": PAPER,
     }
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    n_batches: int = 30,
-    n_workers: int = 12,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_batches, n_workers)
-            for name in datasets
-        ],
-    )
 
 
 def render(result: dict) -> str:
@@ -184,14 +167,14 @@ def _records(result: dict) -> list:
     records=_records,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig,
+    datasets=EVAL_DATASETS,
+    n_batches: int = 30,
+    n_workers: int = 12,
+) -> list:
     """One all-designs pipeline comparison per Table I dataset."""
-    return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return [
+        partial(_run_dataset, name, cfg, n_batches, n_workers)
+        for name in datasets
+    ]

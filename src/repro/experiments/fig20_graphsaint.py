@@ -9,7 +9,6 @@ for host I/O latency) and the walk subgraph is small (cheap ISP output).
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from repro.api.experiment import register_experiment
 from repro.core.systems import build_gpu_model
@@ -24,7 +23,7 @@ from repro.experiments.report import format_bars, format_table
 from repro.pipeline import run_pipeline
 from repro.sim.stats import geometric_mean
 
-__all__ = ["run", "render", "main", "PAPER_AVG_SPEEDUP"]
+__all__ = ["render", "PAPER_AVG_SPEEDUP"]
 
 PAPER_AVG_SPEEDUP = 8.2
 
@@ -34,8 +33,8 @@ _DESIGNS = ("ssd-mmap", "smartsage-sw", "smartsage-hwsw")
 def _run_dataset(
     name: str,
     cfg: ExperimentConfig,
-    n_batches: int = 30,
-    n_workers: int = 12,
+    n_batches: int,
+    n_workers: int,
 ) -> tuple:
     ds = scaled_instance(name, cfg)
     workloads = make_workloads(ds, cfg, sampler_kind="saint")
@@ -67,22 +66,6 @@ def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
     }
 
 
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    datasets=EVAL_DATASETS,
-    n_batches: int = 30,
-    n_workers: int = 12,
-) -> dict:
-    cfg = cfg or ExperimentConfig(n_workloads=8)
-    return _collect(
-        cfg,
-        [
-            _run_dataset(name, cfg, n_batches, n_workers)
-            for name in datasets
-        ],
-    )
-
-
 def render(result: dict) -> str:
     bars = {}
     for name, v in result["per_dataset"].items():
@@ -109,14 +92,14 @@ def render(result: dict) -> str:
     collect=_collect,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig,
+    datasets=EVAL_DATASETS,
+    n_batches: int = 30,
+    n_workers: int = 12,
+) -> list:
     """One GraphSAINT pipeline comparison per Table I dataset."""
-    return [partial(_run_dataset, name, cfg) for name in EVAL_DATASETS]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return [
+        partial(_run_dataset, name, cfg, n_batches, n_workers)
+        for name in datasets
+    ]

@@ -17,14 +17,14 @@ the host-count grid across worker threads.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import format_table
 
 __all__ = [
-    "run", "render", "main", "DATASET", "HOST_COUNTS", "HOST_DESIGNS",
+    "render", "DATASET", "HOST_COUNTS", "HOST_DESIGNS",
 ]
 
 DATASET = "reddit"
@@ -34,10 +34,12 @@ HOST_DESIGNS = ("smartsage-sharded",)
 _PIPELINE = dict(mode="distributed", n_batches=24, n_workers=4)
 
 
-def _unit_specs(cfg: ExperimentConfig) -> list:
+def _unit_specs(
+    cfg: ExperimentConfig, host_counts: Sequence[int]
+) -> list:
     specs = []
     for design in HOST_DESIGNS:
-        for k in HOST_COUNTS:
+        for k in host_counts:
             spec = cfg.run_spec(DATASET, design, **_PIPELINE)
             specs.append(
                 spec.replace(
@@ -47,7 +49,11 @@ def _unit_specs(cfg: ExperimentConfig) -> list:
     return specs
 
 
-def _collect_grid(outputs: list, host_counts: Sequence[int]) -> dict:
+def _collect(
+    cfg: ExperimentConfig,
+    outputs: list,
+    host_counts: Sequence[int] = HOST_COUNTS,
+) -> dict:
     per_design: dict = {}
     it = iter(outputs)
     for design in HOST_DESIGNS:
@@ -82,33 +88,6 @@ def _collect_grid(outputs: list, host_counts: Sequence[int]) -> dict:
         "host_counts": list(host_counts),
         "per_design": per_design,
     }
-
-
-def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
-    return _collect_grid(outputs, HOST_COUNTS)
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    host_counts: Sequence[int] = HOST_COUNTS,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    from repro.api.experiment import execute_unit
-
-    outputs = []
-    for design in HOST_DESIGNS:
-        for k in host_counts:
-            spec = cfg.run_spec(DATASET, design, **_PIPELINE)
-            outputs.append(
-                execute_unit(
-                    spec.replace(
-                        system=dataclasses.replace(
-                            spec.system, n_hosts=k
-                        )
-                    )
-                )
-            )
-    return _collect_grid(outputs, tuple(host_counts))
 
 
 def render(result: dict) -> str:
@@ -166,14 +145,8 @@ def _records(result: dict) -> list:
     records=_records,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig, host_counts: Sequence[int] = HOST_COUNTS
+) -> list:
     """One distributed end-to-end run per (design, host count) point."""
-    return _unit_specs(cfg)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return _unit_specs(cfg, host_counts)

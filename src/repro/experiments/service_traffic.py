@@ -31,7 +31,7 @@ from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import format_table
 
 __all__ = [
-    "run", "render", "main", "N_JOBS", "RATE_JOBS_PER_S", "N_SPECS",
+    "render", "N_JOBS", "RATE_JOBS_PER_S", "N_SPECS",
 ]
 
 N_JOBS = 200            # "hundreds" of submissions
@@ -39,14 +39,14 @@ RATE_JOBS_PER_S = 120.0  # open-loop arrival rate
 N_SPECS = 21            # distinct specs (7 templates x 3 datasets)
 
 
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    n_jobs: int = N_JOBS,
-    rate_jobs_per_s: float = RATE_JOBS_PER_S,
-    n_specs: int = N_SPECS,
-    workers: int = 2,
-    executor: str = "thread",
-    state_dir: Optional[str] = None,
+def _serve(
+    cfg: ExperimentConfig,
+    n_jobs: int,
+    rate_jobs_per_s: float,
+    n_specs: int,
+    workers: int,
+    executor: str,
+    state_dir: Optional[str],
 ) -> dict:
     """Replay one traffic trace against a live draining service.
 
@@ -63,7 +63,6 @@ def run(
         traffic_summary,
     )
 
-    cfg = cfg or ExperimentConfig()
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     pool = spec_pool(
@@ -185,14 +184,19 @@ def _records(result: dict) -> list:
     records=_records,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig,
+    n_jobs: int = N_JOBS,
+    rate_jobs_per_s: float = RATE_JOBS_PER_S,
+    n_specs: int = N_SPECS,
+    workers: int = 2,
+    executor: str = "thread",
+    state_dir: Optional[str] = None,
+) -> list:
     """One unit: the full traffic replay against a live service."""
-    return [partial(run, cfg)]
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return [
+        partial(
+            _serve, cfg, n_jobs, rate_jobs_per_s, n_specs, workers,
+            executor, state_dir,
+        )
+    ]

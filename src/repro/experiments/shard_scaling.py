@@ -18,14 +18,14 @@ the (design, K) grid across worker threads.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.api.experiment import RunRecord, register_experiment
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import format_table
 
 __all__ = [
-    "run", "render", "main", "DATASET", "SHARD_COUNTS", "SHARD_DESIGNS",
+    "render", "DATASET", "SHARD_COUNTS", "SHARD_DESIGNS",
 ]
 
 DATASET = "reddit"
@@ -35,10 +35,12 @@ SHARD_DESIGNS = ("smartsage-sharded", "baseline-sharded")
 _PIPELINE = dict(mode="sharded", n_batches=24, n_workers=4)
 
 
-def _unit_specs(cfg: ExperimentConfig) -> list:
+def _unit_specs(
+    cfg: ExperimentConfig, shard_counts: Sequence[int]
+) -> list:
     specs = []
     for design in SHARD_DESIGNS:
-        for k in SHARD_COUNTS:
+        for k in shard_counts:
             spec = cfg.run_spec(DATASET, design, **_PIPELINE)
             specs.append(
                 spec.replace(
@@ -48,7 +50,11 @@ def _unit_specs(cfg: ExperimentConfig) -> list:
     return specs
 
 
-def _collect_grid(outputs: list, shard_counts: Sequence[int]) -> dict:
+def _collect(
+    cfg: ExperimentConfig,
+    outputs: list,
+    shard_counts: Sequence[int] = SHARD_COUNTS,
+) -> dict:
     per_design: dict = {}
     it = iter(outputs)
     for design in SHARD_DESIGNS:
@@ -74,33 +80,6 @@ def _collect_grid(outputs: list, shard_counts: Sequence[int]) -> dict:
         "shard_counts": list(shard_counts),
         "per_design": per_design,
     }
-
-
-def _collect(cfg: ExperimentConfig, outputs: list) -> dict:
-    return _collect_grid(outputs, SHARD_COUNTS)
-
-
-def run(
-    cfg: Optional[ExperimentConfig] = None,
-    shard_counts: Sequence[int] = SHARD_COUNTS,
-) -> dict:
-    cfg = cfg or ExperimentConfig()
-    from repro.api.experiment import execute_unit
-
-    outputs = []
-    for design in SHARD_DESIGNS:
-        for k in shard_counts:
-            spec = cfg.run_spec(DATASET, design, **_PIPELINE)
-            outputs.append(
-                execute_unit(
-                    spec.replace(
-                        system=dataclasses.replace(
-                            spec.system, n_shards=k
-                        )
-                    )
-                )
-            )
-    return _collect_grid(outputs, tuple(shard_counts))
 
 
 def render(result: dict) -> str:
@@ -156,14 +135,8 @@ def _records(result: dict) -> list:
     records=_records,
     render=render,
 )
-def _plan(cfg: ExperimentConfig) -> list:
+def _plan(
+    cfg: ExperimentConfig, shard_counts: Sequence[int] = SHARD_COUNTS
+) -> list:
     """One sharded end-to-end run per (design, shard count) grid point."""
-    return _unit_specs(cfg)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()
+    return _unit_specs(cfg, shard_counts)

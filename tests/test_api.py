@@ -13,7 +13,9 @@ from repro.api import (
     design_entry,
     is_ssd_backed,
     register_design,
+    register_experiment,
     unregister_design,
+    unregister_experiment,
 )
 from repro.core import DESIGNS, SSD_DESIGNS, TrainingSystem, build_system
 from repro.core.sampling_engines import DirectIOSamplingEngine
@@ -422,40 +424,44 @@ def test_cli_run_spec_bad_file(tmp_path, capsys):
     assert main(["run-spec", str(bad)]) == 1
 
 
-def test_cli_run_all_propagates_exit_code(monkeypatch):
+def _boom():
+    raise RuntimeError("kaput")
+
+
+@pytest.fixture
+def tagged_experiments():
+    """Register experiments under test-only tags; clean up afterwards."""
+    names = []
+
+    def register(name, tag, plan, render=None):
+        register_experiment(name, tags=(tag,), render=render)(plan)
+        names.append(name)
+
+    try:
+        yield register
+    finally:
+        for name in names:
+            unregister_experiment(name)
+
+
+def test_cli_run_all_propagates_exit_code(tagged_experiments):
     from repro.__main__ import main
-    from repro.experiments import run_all
 
-    monkeypatch.setattr(run_all, "main", lambda argv: 3)
-    assert main(["run", "all", "--quick"]) == 3
+    for i in range(3):
+        tagged_experiments(f"boom-{i}", "booms", lambda cfg: [_boom])
+    assert main(["run", "all", "--quick", "--only", "booms"]) == 3
 
 
-def test_run_all_counts_failures(monkeypatch, capsys):
-    from repro.experiments import run_all
+def test_run_all_counts_failures(tagged_experiments, capsys):
+    from repro.__main__ import main
 
-    class Boom:
-        @staticmethod
-        def run(cfg):
-            raise RuntimeError("kaput")
-
-        @staticmethod
-        def render(result):  # pragma: no cover
-            return ""
-
-    class Fine:
-        @staticmethod
-        def run(cfg):
-            return {}
-
-        @staticmethod
-        def render(result):
-            return "ok"
-
-    monkeypatch.setattr(run_all, "ORDER", ("boom", "fine"))
-    monkeypatch.setattr(
-        run_all, "ALL_EXPERIMENTS", {"boom": Boom, "fine": Fine}
+    tagged_experiments(
+        "boom", "mixed", lambda cfg: [_boom], render=lambda result: ""
     )
-    assert run_all.main([]) == 1
+    tagged_experiments(
+        "fine", "mixed", lambda cfg: [dict], render=lambda result: "ok"
+    )
+    assert main(["run", "all", "--only", "mixed"]) == 1
     captured = capsys.readouterr()
     assert "FAILED" in captured.err
     assert "ok" in captured.out

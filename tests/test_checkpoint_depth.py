@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import run_experiment
 from repro.core import build_gpu_model, build_system
-from repro.experiments import depth_sensitivity
 from repro.experiments.common import (
     ExperimentConfig,
     make_workloads,
@@ -54,10 +54,11 @@ def test_checkpointing_ignored_for_dram_design(setup):
 
 
 def test_depth_sensitivity_monotone_workload(setup):
-    result = depth_sensitivity.run(CFG)
+    out = run_experiment("depth-sensitivity", CFG)
+    result = out.result
     depths = sorted(result["per_depth"])
     targets = [result["per_depth"][d]["targets"] for d in depths]
     assert targets == sorted(targets)  # deeper -> more targets
     for d in depths:
         assert result["per_depth"][d]["hwsw_speedup"] > 2.0
-    assert "persists" in depth_sensitivity.render(result)
+    assert "persists" in out.rendered

@@ -7,24 +7,8 @@ monotone trends, breakdown dominance).
 
 import pytest
 
-from repro.experiments import (
-    ALL_EXPERIMENTS,
-    ExperimentConfig,
-    calibration,
-    fig05_characterization,
-    fig06_breakdown,
-    fig07_gpu_idle,
-    fig13_degree,
-    fig14_single_worker,
-    fig15_coalescing,
-    fig16_multi_worker,
-    fig17_worker_scaling,
-    fig18_end_to_end,
-    fig19_fpga,
-    fig20_graphsaint,
-    fig21_sampling_rate,
-    table1_datasets,
-)
+from repro.api import available_experiments, run_experiment
+from repro.experiments import ExperimentConfig
 
 #: tiny configuration so the whole suite stays fast
 CFG = ExperimentConfig(edge_budget=2.5e5, batch_size=32, n_workloads=5)
@@ -44,92 +28,96 @@ def test_registry_covers_every_paper_artifact():
         "shard-scaling", "host-scaling", "gids-vs-isp", "service-traffic",
         "fault-sweep",
     }
-    assert set(ALL_EXPERIMENTS) == paper_artifacts | extensions
+    assert set(available_experiments()) == paper_artifacts | extensions
 
 
 def test_table1():
-    result = table1_datasets.run(CFG)
+    out = run_experiment("table1", CFG)
+    result = out.result
     assert len(result["paper"]) == 5
     assert len(result["instances"]) == 5
-    text = table1_datasets.render(result)
-    assert "reddit" in text and "602" in text
+    # paper Table I: large-scale Reddit has ~1445 average degree
+    reddit = result["instances"]["reddit"]
+    assert abs(reddit["large_avg_degree"] - 1445) / 1445 < 0.05
+    assert "reddit" in out.rendered and "602" in out.rendered
 
 
 def test_fig05_miss_rate_band():
-    result = fig05_characterization.run(CFG, datasets=DS, n_batches=2)
-    assert 0.3 < result["avg_miss_rate"] < 0.9
+    out = run_experiment("fig05", CFG, datasets=DS, n_batches=2)
+    result = out.result
+    assert 0.35 < result["avg_miss_rate"] < 0.9
     assert 0.05 < result["avg_bw_utilization"] < 0.5
-    assert "LLC miss rate" in fig05_characterization.render(result)
+    assert "LLC miss rate" in out.rendered
 
 
 def test_fig06_mmap_much_slower():
-    result = fig06_breakdown.run(CFG, datasets=DS, n_batches=12,
-                                 n_workers=8)
+    out = run_experiment("fig06", CFG, datasets=DS, n_batches=12,
+                         n_workers=8)
+    result = out.result
     # at this tiny test scale the gap compresses; the full-scale
-    # experiment (EXPERIMENTS.md) lands in the paper's 9.8x zone
+    # experiment (`repro run fig06`) lands in the paper's 9.8x zone
     assert result["avg_slowdown"] > 3.0
     for data in result["per_dataset"].values():
         mmap = data["results"]["ssd-mmap"].phase_means
         assert mmap["neighbor_sampling"] > mmap["gnn_training"]
-    assert "slower e2e" in fig06_breakdown.render(result)
+    assert "slower e2e" in out.rendered
 
 
 def test_fig07_idle_gap():
-    result = fig07_gpu_idle.run(CFG, datasets=DS, n_batches=12,
-                                n_workers=8)
+    result = run_experiment("fig07", CFG, datasets=DS, n_batches=12,
+                            n_workers=8).result
     for idle in result["per_dataset"].values():
         assert idle["ssd-mmap"] > idle["dram"] + 0.3
-    fig07_gpu_idle.render(result)
 
 
 def test_fig13_shape_preserved():
-    result = fig13_degree.run(CFG)
+    result = run_experiment("fig13", CFG).result
     for d in result["per_dataset"].values():
         assert d["factors"]["densified"]
         assert d["shape_similarity"] > 0.7
-    fig13_degree.render(result)
 
 
 def test_fig14_speedup_bands():
-    result = fig14_single_worker.run(CFG, datasets=DS)
+    result = run_experiment("fig14", CFG, datasets=DS).result
     assert 1.0 < result["sw_avg"] < 4.0
     assert 5.0 < result["hwsw_avg"] < 20.0
     assert result["data_movement_reduction_avg"] > 3.0
-    fig14_single_worker.render(result)
 
 
 def test_fig15_monotone_collapse():
-    result = fig15_coalescing.run(CFG, datasets=("reddit",))
+    result = run_experiment("fig15", CFG, datasets=("reddit",)).result
     perf = result["per_dataset"]["reddit"]["relative_performance"]
     grans = result["granularities"]
     assert perf[grans[0]] == pytest.approx(1.0)
     assert perf[grans[-1]] < 0.95
     values = [perf[g] for g in grans]
     assert all(b <= a * 1.02 for a, b in zip(values, values[1:]))
-    fig15_coalescing.render(result)
 
 
 def test_fig16_multi_worker_speedups():
-    result = fig16_multi_worker.run(
-        CFG, datasets=DS, n_workers=8, n_batches=24
-    )
-    assert result["hwsw_avg"] > 1.5
-    assert result["hwsw_avg"] > result["sw_avg"] * 0.9
-    fig16_multi_worker.render(result)
+    for n_workers in (8, 12):
+        result = run_experiment(
+            "fig16", CFG, datasets=DS, n_workers=n_workers, n_batches=24
+        ).result
+        assert result["hwsw_avg"] > 1.5, n_workers
+        assert result["hwsw_avg"] > result["sw_avg"] * 0.9, n_workers
 
 
 def test_fig17_declining_trend():
-    result = fig17_worker_scaling.run(
-        CFG, datasets=("reddit",), worker_counts=(1, 4, 8)
+    # each worker count is measured independently, so adding 12 leaves
+    # the 1/4/8 points unchanged
+    out = run_experiment(
+        "fig17", CFG, datasets=("reddit",), worker_counts=(1, 4, 8, 12)
     )
-    speedups = result["per_dataset"]["reddit"]
+    speedups = out.result["per_dataset"]["reddit"]
     assert speedups[1] > speedups[8]
-    assert "declines" in fig17_worker_scaling.render(result)
+    assert speedups[1] > speedups[12]
+    assert "declines" in out.rendered
 
 
 def test_fig18_design_ordering():
-    result = fig18_end_to_end.run(CFG, datasets=DS, n_batches=12,
-                                  n_workers=8)
+    result = run_experiment("fig18", CFG, datasets=DS, n_batches=12,
+                            n_workers=8).result
     for data in result["per_dataset"].values():
         e = data["elapsed"]
         assert e["dram"] <= e["smartsage-oracle"] * 1.05
@@ -137,35 +125,28 @@ def test_fig18_design_ordering():
         assert e["smartsage-sw"] < e["ssd-mmap"]
         assert e["pmem"] < e["smartsage-hwsw"]
     assert result["hwsw_vs_mmap_avg"] > 1.5
-    fig18_end_to_end.render(result)
 
 
 def test_fig19_transfer_dominates():
-    result = fig19_fpga.run(CFG, datasets=DS)
+    result = run_experiment("fig19", CFG, datasets=DS).result
     for d in result["per_dataset"].values():
         assert d["transfer_fraction"] > 0.8
         # FPGA CSD must NOT decisively beat SW (paper's conclusion)
         assert d["fpga_vs_sw"] < 1.5
-    fig19_fpga.render(result)
 
 
 def test_fig20_saint_speedup():
-    result = fig20_graphsaint.run(CFG, datasets=DS, n_batches=12,
-                                  n_workers=8)
+    result = run_experiment("fig20", CFG, datasets=DS, n_batches=12,
+                            n_workers=8).result
     assert result["hwsw_avg_speedup"] > 1.5
-    fig20_graphsaint.render(result)
 
 
 def test_fig21_rate_trend():
-    result = fig21_sampling_rate.run(CFG, datasets=("reddit",))
+    result = run_experiment("fig21", CFG, datasets=("reddit",)).result
     speedups = result["per_dataset"]["reddit"]
     assert speedups[0.5]["hwsw"] > speedups[2.0]["hwsw"]
-    fig21_sampling_rate.render(result)
 
 
 def test_calibration_runs():
-    result = calibration.run(
-        CFG.replace(n_workloads=5)
-    )
-    text = calibration.render(result)
+    text = run_experiment("calibration", CFG).rendered
     assert "fig14" in text and "fig18" in text

@@ -3,14 +3,9 @@ fidelity."""
 
 import pytest
 
+from repro.api import run_experiment
 from repro.core.energy import EnergyReport, PowerBudget, energy_comparison
 from repro.errors import ConfigError
-from repro.experiments import (
-    ablations,
-    energy,
-    fidelity,
-    sensitivity_batch,
-)
 from repro.experiments.common import ExperimentConfig
 
 CFG = ExperimentConfig(edge_budget=2.5e5, batch_size=32, n_workloads=5)
@@ -51,15 +46,15 @@ def test_energy_report_joules():
 
 
 def test_energy_experiment_saves_energy():
-    result = energy.run(CFG, datasets=("reddit",), n_batches=8,
-                        n_workers=4)
-    d = result["per_dataset"]["reddit"]
+    out = run_experiment("energy", CFG, datasets=("reddit",), n_batches=8,
+                         n_workers=4)
+    d = out.result["per_dataset"]["reddit"]
     assert d["energy_saving_vs_mmap"] > 1.5
     # energy saving tracks time saving (firmware adds ~no power)
     assert d["energy_saving_vs_mmap"] == pytest.approx(
         d["time_saving_vs_mmap"], rel=0.4
     )
-    assert "power" in energy.render(result)
+    assert "power" in out.rendered
 
 
 def test_energy_comparison_uses_oracle_extra_power():
@@ -80,32 +75,30 @@ def test_energy_comparison_uses_oracle_extra_power():
 
 
 def test_ablations_ladder():
-    result = ablations.run(CFG, dataset_name="reddit")
-    s = result["speedups"]
+    out = run_experiment("ablations", CFG, dataset_name="reddit")
+    s = out.result["speedups"]
     assert s["ssd-mmap (baseline)"] == pytest.approx(1.0)
     # the ladder must be ordered: baseline < SW variants < HW/SW variants
     assert s["SW without scratchpad"] > 1.0
     assert s["HW/SW (full)"] > s["SW (direct I/O + scratchpad)"]
     assert s["HW/SW (full)"] > s["HW/SW without coalescing"]
-    text = ablations.render(result)
-    assert "[ok] coalescing helps" in text
+    assert "[ok] coalescing helps" in out.rendered
 
 
 # -- batch-size sensitivity ---------------------------------------------
 
 
 def test_batch_sensitivity_flat():
-    result = sensitivity_batch.run(CFG, datasets=("reddit",))
-    assert result["max_spread"] < 1.8
-    assert "little effect" in sensitivity_batch.render(result)
+    out = run_experiment("batch-sensitivity", CFG, datasets=("reddit",))
+    assert out.result["max_spread"] < 1.8
+    assert "little effect" in out.rendered
 
 
 # -- fidelity ---------------------------------------------------------------
 
 
 def test_fidelity_modes_agree_single_worker():
-    result = fidelity.run(CFG, dataset_name="reddit")
+    result = run_experiment("fidelity", CFG, dataset_name="reddit").result
     for design, d in result["designs"].items():
         assert d["agreement_1w"] == pytest.approx(1.0, abs=0.35), design
         assert d["contention_8w"] > 0.8, design
-    fidelity.render(result)

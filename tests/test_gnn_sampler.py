@@ -43,6 +43,15 @@ def test_sampler_sample_counts(graph):
     assert batch.hop_samples[0] == expected
 
 
+def test_sampler_samples_large_graph():
+    graph = rmat_graph(20_000, 400_000, np.random.default_rng(0))
+    sampler = NeighborSampler(graph, fanouts=(25, 10))
+    rng = np.random.default_rng(1)
+    seeds = rng.integers(0, graph.num_nodes, size=128)
+    batch = sampler.sample_batch(seeds, rng)
+    assert batch.total_samples > 0
+
+
 def test_sampler_subgraph_bytes(graph):
     sampler = NeighborSampler(graph, fanouts=(5, 3))
     batch = sampler.sample_batch(np.arange(8), np.random.default_rng(4))

@@ -65,9 +65,25 @@ def test_training_reduces_loss(setup):
     train, _test = ds.train_test_split()
     result = trainer.fit(train[:256], epochs=8,
                          rng=np.random.default_rng(4))
+    assert np.all(np.isfinite(result.losses))
     early = float(np.mean(result.losses[:4]))
     late = float(np.mean(result.losses[-4:]))
     assert late < early * 0.8
+
+
+def test_full_epochs_reduce_loss():
+    """Three epochs over the whole train split of a smaller instance."""
+    ds = load_dataset("amazon", variant=IN_MEMORY, scale=1e-5, seed=0)
+    model = GraphSAGE(ds.feature_dim, 32, ds.num_classes,
+                      rng=np.random.default_rng(0))
+    trainer = Trainer(
+        model, NeighborSampler(ds.graph, fanouts=(5, 5)),
+        FeatureTable(ds.features(noise=0.6)), ds.labels(),
+        Adam(model.parameters(), lr=1e-2), batch_size=64,
+    )
+    train, _test = ds.train_test_split()
+    result = trainer.fit(train, epochs=3, rng=np.random.default_rng(1))
+    assert result.last_loss < result.first_loss
 
 
 def test_training_beats_chance(setup):

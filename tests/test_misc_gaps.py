@@ -136,3 +136,20 @@ def test_hardware_replace_in():
     assert hw.workload.batch_size == 1024  # original untouched
     hw3 = hw.replace(gpu=GPUParams(kernel_overhead_s=1.0))
     assert hw3.gpu.kernel_overhead_s == 1.0
+
+
+# -- packaging --------------------------------------------------------------
+
+
+def test_setup_py_declares_package_name():
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "--name"],
+        cwd=root, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "repro"

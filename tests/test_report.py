@@ -1,4 +1,4 @@
-"""Tests for the text report renderer and run_all wiring."""
+"""Tests for the text report renderer and `repro run all` wiring."""
 
 import pytest
 
@@ -69,17 +69,11 @@ def test_ratio_safe():
 
 
 def test_run_all_quick(capsys):
-    """The run_all entry point completes at --quick scale."""
-    import repro.experiments.run_all as run_all
+    """`repro run all` completes at --quick scale."""
+    from repro.__main__ import main
 
-    # monkeypatch ORDER down to two cheap experiments for speed
-    original = run_all.ORDER
-    run_all.ORDER = ("table1", "fig13")
-    try:
-        run_all.main(["--quick"])
-    finally:
-        run_all.ORDER = original
+    # the two cheap experiments carrying the "datasets" tag
+    assert main(["run", "all", "--quick", "--only", "datasets"]) == 0
     out = capsys.readouterr().out
-    assert "table1" in out
-    assert "fig13" in out
-    assert "total:" in out
+    assert "Table I" in out
+    assert "Fig 13" in out

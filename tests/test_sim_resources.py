@@ -41,6 +41,25 @@ def test_resource_fifo_ordering():
     assert order == [0, 1, 2, 3]
 
 
+def test_resource_contention_dispatches_every_event():
+    """8 workers x 200 acquire/hold/release cycles on 4 slots."""
+    sim = Simulator()
+    res = Resource(sim, capacity=4)
+
+    def worker():
+        for _ in range(200):
+            yield res.acquire()
+            yield sim.timeout(1e-6)
+            res.release()
+
+    for _ in range(8):
+        sim.process(worker())
+    sim.run()
+    assert sim.processed_events > 1000
+    # 1600 holds of 1 us, 4 at a time
+    assert sim.now == pytest.approx(400e-6)
+
+
 def test_resource_release_without_acquire_raises():
     sim = Simulator()
     res = Resource(sim, capacity=1)
